@@ -114,7 +114,7 @@ class EdgeServerRegistry:
 
         The sort matches the order :meth:`~repro.geo.hexgrid.HexGrid.cells_within`
         returns cells in, so the vectorized radius query below reproduces
-        the reference enumeration order exactly.
+        the cell-scan enumeration order exactly.
         """
         index = self._radius_index
         if index is not None:
@@ -137,12 +137,12 @@ class EdgeServerRegistry:
         """Ids of allocated servers whose cell centre is within ``distance``.
 
         Equivalent to scanning :meth:`HexGrid.cells_within` for allocated
-        cells (kept as :meth:`_servers_within_reference`), but instead of
-        enumerating candidate cells it filters the allocated-server centre
-        array: a vectorized squared-distance prefilter with a safety
-        margin, then the exact ``math.hypot(...) <= distance`` comparison
-        the reference uses on the few survivors.  Same servers, same
-        (cell-sorted) order, same float comparisons.
+        cells (the test-only oracle in ``tests/oracles/geo.py``), but
+        instead of enumerating candidate cells it filters the
+        allocated-server centre array: a vectorized squared-distance
+        prefilter with a safety margin, then the exact ``math.hypot(...)
+        <= distance`` comparison the cell scan uses on the few survivors.
+        Same servers, same (cell-sorted) order, same float comparisons.
         """
         if distance < 0:
             raise ValueError("distance must be non-negative")
@@ -213,14 +213,3 @@ class EdgeServerRegistry:
                     ]
                 )
         return out
-
-    def _servers_within_reference(
-        self, point: tuple[float, float], distance: float
-    ) -> list[int]:
-        """Reference radius query: enumerate cells, probe the allocation."""
-        servers = []
-        for cell in self.grid.cells_within(point, distance):
-            server_id = self._cell_to_server.get(cell)
-            if server_id is not None:
-                servers.append(server_id)
-        return servers

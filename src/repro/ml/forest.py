@@ -9,10 +9,9 @@ right-hand plot of Fig 4.
 :class:`~repro.ml.tree.FlatTree`) into one concatenated node table, so
 ``predict`` traverses *all trees for all rows* in a single
 level-synchronous loop — the planner-side hot path of the large-scale
-simulator.  The per-tree node walk remains available as
-``_predict_reference`` and via :func:`repro.ml.tree.reference_predict`;
-both paths are bit-for-bit identical (same comparisons, same leaf values,
-same ``mean(axis=0)`` reduction).
+simulator.  It is bit-for-bit identical to averaging per-tree node walks
+(same comparisons, same leaf values, same ``mean(axis=0)`` reduction);
+the test-only oracle in ``tests/oracles/tree.py`` pins that.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ml.tree import RegressionTree, fast_predict_enabled
+from repro.ml.tree import RegressionTree
 
 
 @dataclass(frozen=True)
@@ -145,13 +144,7 @@ class RandomForestRegressor:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if not self._trees:
-            raise RuntimeError("forest has not been fitted")
-        X = self._trees[0]._validate_X(X)
-        if fast_predict_enabled() and self._stacked is not None:
-            return self._stacked.predict_all(X).mean(axis=0)
-        predictions = np.stack([tree.predict(X) for tree in self._trees])
-        return predictions.mean(axis=0)
+        return self.predict_per_tree(X).mean(axis=0)
 
     def predict_per_tree(self, X: np.ndarray) -> np.ndarray:
         """Per-tree predictions, shape ``(n_trees, n_rows)``.
@@ -165,17 +158,4 @@ class RandomForestRegressor:
         """
         if not self._trees:
             raise RuntimeError("forest has not been fitted")
-        X = self._trees[0]._validate_X(X)
-        if fast_predict_enabled() and self._stacked is not None:
-            return self._stacked.predict_all(X)
-        return np.stack([tree.predict(X) for tree in self._trees])
-
-    def _predict_reference(self, X: np.ndarray) -> np.ndarray:
-        """Per-tree node-walk ensemble mean (the pre-vectorization path)."""
-        if not self._trees:
-            raise RuntimeError("forest has not been fitted")
-        X = np.asarray(X, dtype=float)
-        predictions = np.stack(
-            [tree._predict_reference(X) for tree in self._trees]
-        )
-        return predictions.mean(axis=0)
+        return self._stacked.predict_all(self._trees[0]._validate_X(X))

@@ -49,16 +49,13 @@ def run_fingerprint(
     shard_size: int,
     model_names: list[str],
     record_events: bool,
-    fast_simulate: bool,
-    fast_predict: bool,
-    fast_migrate: bool = True,
 ) -> str:
     """Digest everything that determines the per-shard results.
 
     Two invocations agree on the fingerprint iff they would produce
     byte-identical shards: same trajectory data (hashed point-by-point,
     not by name), same settings/config, same decomposition target, same
-    model pool, and same fast-path/event-trace toggles.  ``workers`` is
+    model pool, and same event-trace setting.  ``workers`` is
     deliberately absent — shard results never depend on it.
     """
     hasher = hashlib.sha256()
@@ -96,9 +93,6 @@ def run_fingerprint(
         "shard_size": shard_size,
         "models": list(model_names),
         "record_events": bool(record_events),
-        "fast_simulate": bool(fast_simulate),
-        "fast_predict": bool(fast_predict),
-        "fast_migrate": bool(fast_migrate),
     }
     hasher.update(
         json.dumps(payload, sort_keys=True, default=str).encode()

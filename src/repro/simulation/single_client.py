@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from repro.core.config import PerDNNConfig
 from repro.partitioning.partitioner import DNNPartitioner
-from repro.simulation.query_loop import QueryRecord
 
 
 @dataclass(frozen=True)

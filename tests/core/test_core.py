@@ -151,6 +151,9 @@ class FixedPredictor:
     def predict_point(self, window):
         return self.point
 
+    def predict_points(self, windows):
+        return np.tile(np.asarray(self.point, dtype=float), (len(windows), 1))
+
 
 @pytest.fixture
 def world(tiny_partitioner, rng):

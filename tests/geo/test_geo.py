@@ -8,6 +8,7 @@ import pytest
 from repro.geo.geometry import BoundingBox, euclidean
 from repro.geo.hexgrid import HexCell, HexGrid
 from repro.geo.wifi import EdgeServerRegistry
+from tests.oracles.geo import servers_within as servers_within_oracle
 
 
 class TestGeometry:
@@ -118,10 +119,10 @@ class TestRegistry:
 
     def test_servers_within_matches_reference(self):
         # The vectorized radius query must agree with the cell-enumerating
-        # reference exactly — same ids, same (cell-sorted) order — for
+        # oracle exactly — same ids, same (cell-sorted) order — for
         # arbitrary query points and distances, including ones that land
         # exactly on a centre distance (the float comparison on survivors
-        # is the reference's own).
+        # is the oracle's own).
         grid = HexGrid(50.0)
         rng = np.random.default_rng(23)
         points = rng.uniform(-1500.0, 1500.0, size=(400, 2))
@@ -130,7 +131,7 @@ class TestRegistry:
             point = tuple(rng.uniform(-1600.0, 1600.0, size=2))
             distance = float(rng.uniform(0.0, 600.0))
             assert registry.servers_within(point, distance) == (
-                registry._servers_within_reference(point, distance)
+                servers_within_oracle(registry, point, distance)
             )
         # Exact-boundary probes: query from one centre at the exact
         # distance of another.
@@ -144,7 +145,7 @@ class TestRegistry:
                 target[0] - origin[0], target[1] - origin[1]
             )
             assert registry.servers_within(origin, distance) == (
-                registry._servers_within_reference(origin, distance)
+                servers_within_oracle(registry, origin, distance)
             )
 
     def test_servers_within_batch_matches_scalar(self):

@@ -99,20 +99,29 @@ class TestChaosInvariant:
         assert info["retries"] >= info["planned_shards"]
         assert info["failed_shards"] == []
 
-    def test_chaos_with_reference_migrate(self, dataset, tiny_partitioner, clean):
-        # Chaos retries must stay byte-stable on the scalar migration
-        # tail too — supervision and the migrate toggle are orthogonal.
-        from repro.core.master import reference_migrate
+    def test_chaos_with_reference_migrate(
+        self, dataset, tiny_partitioner, monkeypatch
+    ):
+        # A chaos-retried run must match the per-client migration oracle
+        # (tests/oracles/migration.py) run cleanly in process — the
+        # supervision layer and the migration pass are orthogonal.  At
+        # the default 4 steps no client has a full mobility window yet,
+        # so nothing migrates; 8 steps make the migration pass do work.
+        from tests.oracles import migration as migration_oracle
 
-        with reference_migrate():
-            chaotic = run_sharded(
-                dataset, tiny_partitioner, make_settings(),
-                workers=2,
-                supervision=SupervisorConfig(
-                    chaos=KILL_ALL_ONCE, backoff_base_seconds=0.0
-                ),
-            )
-        assert chaotic.telemetry.dumps() == clean.telemetry.dumps()
+        settings = make_settings(max_steps=8)
+        chaotic = run_sharded(
+            dataset, tiny_partitioner, settings,
+            workers=2,
+            supervision=SupervisorConfig(
+                chaos=KILL_ALL_ONCE, backoff_base_seconds=0.0
+            ),
+        )
+        assert chaotic.extras["sharding"]["retries"] > 0
+        migration_oracle.install_transfer_loop(monkeypatch)
+        reference = run_sharded(dataset, tiny_partitioner, settings, workers=1)
+        assert reference.migrations > 0
+        assert chaotic.telemetry.dumps() == reference.telemetry.dumps()
 
     def test_hang_with_timeout_bytes_identical(
         self, dataset, tiny_partitioner, clean

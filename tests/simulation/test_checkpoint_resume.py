@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.config import PerDNNConfig
 from repro.core.master import MigrationPolicy
+from repro.faults import get_profile
 from repro.simulation.checkpoint import (
     CHECKPOINT_SCHEMA,
     CheckpointStore,
@@ -198,7 +199,6 @@ class TestFingerprint:
         return dict(
             dataset=dataset, settings=settings, config=config,
             shard_size=4, model_names=["tiny"], record_events=True,
-            fast_simulate=True, fast_predict=True,
         )
 
     def test_stable(self, dataset):
@@ -210,8 +210,8 @@ class TestFingerprint:
         [
             {"shard_size": 8},
             {"record_events": False},
-            {"fast_simulate": False},
-            {"fast_predict": False},
+            {"config": PerDNNConfig(migration_radius_m=50.0)},
+            {"settings": make_settings(faults=get_profile("churn"))},
             {"model_names": ["other"]},
         ],
     )

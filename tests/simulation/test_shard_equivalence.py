@@ -5,9 +5,10 @@ Three layers of same-seed byte-identity:
 * the sharded run is a pure function of ``(dataset, settings,
   shard_size)`` — worker counts 1, 2, and 4 export identical telemetry
   snapshots, with faults and overload protection enabled too;
-* the struct-of-arrays fast path and the scalar reference loop
-  (:func:`repro.simulation.large_scale.reference_simulate`) agree byte
-  for byte, sharded and unsharded, across every subsystem combination;
+* the production interval loop and the same loop with every hot path
+  swapped for its scalar oracle (:func:`tests.oracles.scalar_simulation`)
+  agree byte for byte, sharded and unsharded, across every subsystem
+  combination;
 * dropping the event trace (``record_events=False``) changes events
   only — every counter and histogram stays identical.
 
@@ -22,19 +23,15 @@ from repro.core.config import PerDNNConfig
 from repro.core.master import MigrationPolicy
 from repro.faults import get_profile
 from repro.overload import OverloadConfig, SheddingPolicy
-from repro.simulation.large_scale import (
-    SimulationSettings,
-    fast_simulate_enabled,
-    reference_simulate,
-    run_large_scale,
-    set_fast_simulate,
-)
+from repro.simulation.large_scale import SimulationSettings, run_large_scale
 from repro.simulation.sharding import (
     plan_shards,
     run_large_scale_sharded,
     shard_seed,
 )
 from repro.trajectories.synthetic import kaist_like
+from tests.oracles import migration as migration_oracle
+from tests.oracles import scalar_simulation
 
 
 @pytest.fixture(scope="module")
@@ -120,15 +117,21 @@ class TestWorkerInvariance:
 
 
 class TestFastReferenceIdentity:
+    """Production vs. every scalar oracle at once (``tests/oracles/``).
+
+    The oracle side runs at ``workers=1``: shards then run in process,
+    where the test's patches apply.
+    """
+
     @pytest.mark.parametrize("subsystem", sorted(SUBSYSTEMS))
     def test_sharded_fast_vs_reference(
         self, dataset, tiny_partitioner, subsystem
     ):
         settings = make_settings(**SUBSYSTEMS[subsystem])
         fast = run_sharded(dataset, tiny_partitioner, settings, workers=2)
-        with reference_simulate():
+        with scalar_simulation():
             reference = run_sharded(
-                dataset, tiny_partitioner, settings, workers=2
+                dataset, tiny_partitioner, settings, workers=1
             )
         assert fast.telemetry.dumps() == reference.telemetry.dumps()
 
@@ -136,23 +139,11 @@ class TestFastReferenceIdentity:
     def test_unsharded_fast_vs_reference(
         self, dataset, tiny_partitioner, subsystem
     ):
-        # The scalar reference path must stay alive and equivalent for
-        # the plain runner too, with every subsystem combination.
         settings = make_settings(**SUBSYSTEMS[subsystem])
         fast = run_large_scale(dataset, tiny_partitioner, settings)
-        with reference_simulate():
+        with scalar_simulation():
             reference = run_large_scale(dataset, tiny_partitioner, settings)
         assert fast.telemetry.dumps() == reference.telemetry.dumps()
-
-    def test_toggle_roundtrip(self):
-        assert fast_simulate_enabled()
-        previous = set_fast_simulate(False)
-        assert previous is True
-        assert not fast_simulate_enabled()
-        with reference_simulate():
-            assert not fast_simulate_enabled()
-        set_fast_simulate(True)
-        assert fast_simulate_enabled()
 
 
 class TestEventTraceOption:
@@ -194,8 +185,8 @@ class TestChaosIdentity:
         assert calm.telemetry.dumps() == chaotic.telemetry.dumps()
 
     def test_chaos_fast_vs_reference(self, dataset, tiny_partitioner):
-        # Batched-vs-scalar identity must hold under chaos too: the
-        # supervision layer and the fast path are orthogonal.
+        # A chaos-retried production run must match the scalar oracles
+        # byte for byte: supervision and the hot paths are orthogonal.
         from repro.faults import WorkerChaos
         from repro.simulation.supervisor import SupervisorConfig
 
@@ -209,10 +200,10 @@ class TestChaosIdentity:
             dataset, tiny_partitioner, settings, workers=2,
             supervision=supervision,
         )
-        with reference_simulate():
+        assert fast.extras["sharding"]["retries"] > 0
+        with scalar_simulation():
             reference = run_sharded(
-                dataset, tiny_partitioner, settings, workers=2,
-                supervision=supervision,
+                dataset, tiny_partitioner, settings, workers=1
             )
         assert fast.telemetry.dumps() == reference.telemetry.dumps()
 
@@ -362,35 +353,16 @@ class TestShardPlan:
 class TestMigrationToggle:
     @pytest.mark.parametrize("subsystem", ["plain", "faults"])
     def test_fast_vs_reference_migrate(
-        self, dataset, tiny_partitioner, subsystem
+        self, dataset, tiny_partitioner, subsystem, monkeypatch
     ):
-        # The array-form migration tail and the per-client scalar pass
-        # must agree byte for byte, sharded, with and without faults.
-        from repro.core.master import reference_migrate
-
+        # The array-form migration tail and the per-client transfer loop
+        # (tests/oracles/migration.py) must agree byte for byte, sharded,
+        # with and without faults.  The oracle side runs in process.
         settings = make_settings(**SUBSYSTEMS[subsystem])
         fast = run_sharded(dataset, tiny_partitioner, settings, workers=2)
-        with reference_migrate():
-            reference = run_sharded(
-                dataset, tiny_partitioner, settings, workers=2
-            )
+        migration_oracle.install_transfer_loop(monkeypatch)
+        reference = run_sharded(dataset, tiny_partitioner, settings, workers=1)
         assert fast.telemetry.dumps() == reference.telemetry.dumps()
-
-    def test_toggle_roundtrip(self):
-        from repro.core.master import (
-            fast_migrate_enabled,
-            reference_migrate,
-            set_fast_migrate,
-        )
-
-        assert fast_migrate_enabled()
-        previous = set_fast_migrate(False)
-        assert previous is True
-        assert not fast_migrate_enabled()
-        set_fast_migrate(True)
-        with reference_migrate():
-            assert not fast_migrate_enabled()
-        assert fast_migrate_enabled()
 
 
 class TestDatasetSpill:
