@@ -39,7 +39,10 @@ import numpy as np
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 sys.path.insert(0, REPO_SRC)
 
-from repro.bench import _build_partitioner, _measure_in_child  # noqa: E402
+from repro.bench import (  # noqa: E402
+    _build_partitioner,
+    _measure_repeats_in_child,
+)
 from repro.core.config import PerDNNConfig  # noqa: E402
 from repro.core.master import MigrationPolicy  # noqa: E402
 from repro.simulation.large_scale import SimulationSettings  # noqa: E402
@@ -233,15 +236,18 @@ def main(argv: list[str] | None = None) -> int:
                 "clients": result.num_clients,
             }
 
-        measured = _measure_in_child(run)
-        payload = measured["payload"]
+        measured = _measure_repeats_in_child(
+            lambda: None, lambda _state: run(), repeats=1
+        )
+        seconds = measured["runs"][0]["seconds"]
+        payload = measured["runs"][0]["payload"]
         snapshots[workers] = payload["telemetry"]
         path = os.path.join(args.out_dir, f"smoke-w{workers}.telemetry.json")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(payload["telemetry"])
         print(
             f"workers={workers}: {payload['clients']} clients / "
-            f"{payload['shards']} shards in {measured['seconds']:.1f}s, "
+            f"{payload['shards']} shards in {seconds:.1f}s, "
             f"peak RSS {measured['peak_rss_mb']:.0f} MB "
             f"(ceiling {args.rss_ceiling_mb:.0f} MB)"
         )

@@ -422,25 +422,9 @@ def bench_large_scale_sharded_checkpointed(
     return {"large_scale_sharded_checkpointed": entry}
 
 
-def _child_entry(conn, fn: Callable[[], dict]) -> None:
-    import resource
-
-    start = time.perf_counter()
-    payload = fn()
-    seconds = time.perf_counter() - start
-    self_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    conn.send(
-        {
-            "seconds": seconds,
-            "peak_rss_mb": max(self_kb, child_kb) / 1024.0,
-            "payload": payload,
-        }
-    )
-    conn.close()
-
-
-def _child_entry_repeats(conn, setup, run, repeats: int) -> None:
+def _timed_runs(setup, run, repeats: int) -> dict:
+    """Build ``state = setup()``, time ``run(state)`` ``repeats`` times,
+    then read the peak RSS of this process and its waited-for children."""
     import resource
 
     state = setup()
@@ -451,7 +435,11 @@ def _child_entry_repeats(conn, setup, run, repeats: int) -> None:
         runs.append({"seconds": time.perf_counter() - start, "payload": payload})
     self_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    conn.send({"runs": runs, "peak_rss_mb": max(self_kb, child_kb) / 1024.0})
+    return {"runs": runs, "peak_rss_mb": max(self_kb, child_kb) / 1024.0}
+
+
+def _child_entry(conn, setup, run, repeats: int) -> None:
+    conn.send(_timed_runs(setup, run, repeats))
     conn.close()
 
 
@@ -467,72 +455,23 @@ def _measure_repeats_in_child(setup, run, repeats: int) -> dict:
     parent's heap size (observed 10-25% inflation at the 1M shape,
     growing with how many earlier cases the bench process had run).  A
     child that builds the state itself owns those pages outright.
-    Repeats share the one setup; the reported ``peak_rss_mb`` covers
-    setup plus the largest shard worker, as before.  Falls back to an
-    in-process loop where fork is unavailable.
+    Repeats share the one setup.  ``ru_maxrss`` is a process-lifetime
+    high-water mark, so the fresh child also gives the case its own
+    zeroed mark: the reported ``peak_rss_mb`` is the larger of the
+    child's own peak (setup, supervisor, streaming merge) and its largest
+    shard worker's, i.e. the largest single process the run needed.
+    Falls back to an in-process loop (RSS of this process, high-water
+    caveat and all) where fork is unavailable.
     """
     import multiprocessing
 
     if "fork" not in multiprocessing.get_all_start_methods():
-        import resource
-
-        state = setup()
-        runs = []
-        for _ in range(max(1, repeats)):
-            start = time.perf_counter()
-            payload = run(state)
-            runs.append(
-                {"seconds": time.perf_counter() - start, "payload": payload}
-            )
-        self_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-        return {"runs": runs, "peak_rss_mb": max(self_kb, child_kb) / 1024.0}
+        return _timed_runs(setup, run, repeats)
     context = multiprocessing.get_context("fork")
     parent_conn, child_conn = context.Pipe(duplex=False)
     process = context.Process(
-        target=_child_entry_repeats, args=(child_conn, setup, run, repeats)
+        target=_child_entry, args=(child_conn, setup, run, repeats)
     )
-    process.start()
-    child_conn.close()
-    try:
-        measured = parent_conn.recv()
-    finally:
-        process.join()
-        parent_conn.close()
-    return measured
-
-
-def _measure_in_child(fn: Callable[[], dict]) -> dict:
-    """Time ``fn`` in a forked child and report its peak RSS.
-
-    ``ru_maxrss`` is a process-lifetime high-water mark, so measuring in
-    the bench process itself would report whatever earlier cases peaked
-    at; a fresh fork gives the case its own zeroed mark.  The reported
-    figure is the max of the child's own peak (the parent side of the
-    sharded run: setup, supervisor, streaming merge) and its waited-for
-    children's peak (the shard workers) — i.e. the largest single process
-    the run ever needed, which is what a memory ceiling bounds.  Falls
-    back to an in-process run (RSS of this process, high-water caveat and
-    all) where fork is unavailable.
-    """
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        import resource
-
-        start = time.perf_counter()
-        payload = fn()
-        seconds = time.perf_counter() - start
-        self_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-        return {
-            "seconds": seconds,
-            "peak_rss_mb": max(self_kb, child_kb) / 1024.0,
-            "payload": payload,
-        }
-    context = multiprocessing.get_context("fork")
-    parent_conn, child_conn = context.Pipe(duplex=False)
-    process = context.Process(target=_child_entry, args=(child_conn, fn))
     process.start()
     child_conn.close()
     try:

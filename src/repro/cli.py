@@ -192,7 +192,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         or args.shard_size is not None
         or args.checkpoint_dir is not None
         or args.spill_datasets
-        or bool(args.remote_worker)
     )
     sharded_only = {
         "--resume": args.resume,
@@ -203,6 +202,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "--chaos-kill": bool(args.chaos_kill),
         "--chaos-hang": bool(args.chaos_hang),
         "--chaos-kill-shard": bool(args.chaos_kill_shard),
+        "--chaos-seed": args.chaos_seed != 0,
+        "--chaos-max-injections": args.chaos_max_injections != 1,
+        "--chaos-hang-seconds": args.chaos_hang_seconds != 3600.0,
     }
     misused = [flag for flag, used in sharded_only.items() if used]
     if misused and not sharded:
@@ -228,32 +230,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         overload=overload,
     )
     shard_profile_path = None
-    if args.profile_top is not None and sharded:
-        if args.remote_worker:
-            print(
-                "error: --profile cannot follow shards onto remote "
-                "workers; drop --remote-worker, or profile locally with "
-                "--workers 1 --profile",
-                file=sys.stderr,
-            )
-            return 2
-        if args.workers > 1 or supervision.needs_processes:
-            # The simulation work happens in worker processes the parent
-            # profiler cannot see: designate the lowest-index shard's
-            # worker, dump its cProfile stats to a scratch file, and
-            # merge them into the parent profile below.
-            import os
-            import tempfile
+    if args.profile_top is not None and sharded and (
+        args.workers > 1 or supervision.needs_processes
+    ):
+        # The simulation work happens in worker processes the parent
+        # profiler cannot see: designate the lowest-index shard's
+        # worker, dump its cProfile stats to a scratch file, and merge
+        # them into the parent profile below.
+        import os
+        import tempfile
 
-            fd, shard_profile_path = tempfile.mkstemp(
-                prefix="repro-shard-profile-", suffix=".pstats"
-            )
-            os.close(fd)
+        fd, shard_profile_path = tempfile.mkstemp(
+            prefix="repro-shard-profile-", suffix=".pstats"
+        )
+        os.close(fd)
     profiler = None
     if args.profile_top is not None:
         # Parent-process view: setup, supervision, and the streaming
         # merge for sharded runs; the whole simulation otherwise.  The
-        # shard-worker dump above adds the worker-side view.
+        # shard worker's dump above adds the worker-side view.
         import cProfile
 
         profiler = cProfile.Profile()
@@ -272,7 +267,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 resume=args.resume,
                 model_cache_dir=args.model_cache,
                 spill_datasets=args.spill_datasets,
-                remote_workers=tuple(args.remote_worker or ()),
                 profile_path=shard_profile_path,
             )
         except ShardError as exc:
@@ -360,9 +354,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if info.get("spill_datasets"):
             print("dataset spill:      on (per-shard subsets streamed "
                   "from disk)")
-        if info.get("remote_workers"):
-            print(f"remote workers:     "
-                  f"{', '.join(info['remote_workers'])}")
         if info.get("retries"):
             print(f"shard retries:      {info['retries']}")
         if info.get("resumed_shards"):
@@ -406,28 +397,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_faults(args: argparse.Namespace) -> int:
     _print_profiles(sys.stdout)
-    return 0
-
-
-def cmd_shard_worker(args: argparse.Namespace) -> int:
-    from repro.simulation.remote import DEFAULT_PORT, serve
-
-    def announce(host: str, port: int) -> None:
-        print(f"shard-worker listening on {host}:{port}", flush=True)
-
-    try:
-        served = serve(
-            args.host,
-            DEFAULT_PORT if args.port is None else args.port,
-            max_requests=args.max_requests,
-            on_ready=announce,
-        )
-    except OSError as exc:
-        print(f"error: cannot listen: {exc}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        return 130
-    print(f"shard-worker served {served} request(s)")
     return 0
 
 
@@ -571,13 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "disk at plan time and stream results, so "
                                "the parent's memory stays flat in the "
                                "client count (implies sharding)")
-    simulate.add_argument("--remote-worker", metavar="HOST:PORT",
-                          action="append", default=None,
-                          help="dispatch shards to this `repro "
-                               "shard-worker` listener as an extra "
-                               "supervision slot (repeatable; implies "
-                               "sharding; trusted links only — the wire "
-                               "protocol is pickle)")
     simulate.add_argument("--profile", type=positive_int, default=None,
                           metavar="N", dest="profile_top",
                           help="run under cProfile and print the top N "
@@ -625,22 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--list", action="store_true",
                         help="list the profiles (the default action)")
 
-    shard_worker = sub.add_parser(
-        "shard-worker",
-        help="serve remote shard dispatch (pair with simulate "
-             "--remote-worker; trusted links only)",
-    )
-    shard_worker.add_argument("--host", default="127.0.0.1",
-                              help="bind address (default: 127.0.0.1)")
-    shard_worker.add_argument("--port", type=int, default=None,
-                              help="listen port; 0 binds an ephemeral "
-                                   "port, printed on startup "
-                                   "(default: 7077)")
-    shard_worker.add_argument("--max-requests", type=positive_int,
-                              default=None,
-                              help="exit after serving this many shard "
-                                   "attempts (default: serve forever)")
-
     telemetry = sub.add_parser(
         "telemetry", help="summarize an exported telemetry snapshot"
     )
@@ -683,7 +629,6 @@ _COMMANDS = {
     "handoff": cmd_handoff,
     "simulate": cmd_simulate,
     "faults": cmd_faults,
-    "shard-worker": cmd_shard_worker,
     "telemetry": cmd_telemetry,
     "bench": cmd_bench,
     "predictors": cmd_predictors,

@@ -32,13 +32,12 @@ collision-free.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import shutil
 import tempfile
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -59,7 +58,6 @@ from repro.simulation.checkpoint import (
     model_fingerprint,
     run_fingerprint,
 )
-from repro.simulation.remote import RemoteExecutor
 from repro.simulation.large_scale import (
     LargeScaleResult,
     SimulationSettings,
@@ -68,7 +66,6 @@ from repro.simulation.large_scale import (
     train_default_predictor,
 )
 from repro.simulation.supervisor import (
-    LocalProcessExecutor,
     SupervisionReport,
     SupervisorConfig,
     supervise,
@@ -380,13 +377,6 @@ def _merge_records(
     return merged
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
-
-
 def run_large_scale_sharded(
     dataset: TrajectoryDataset,
     partitioner: DNNPartitioner | list[DNNPartitioner],
@@ -402,7 +392,6 @@ def run_large_scale_sharded(
     resume: bool = False,
     model_cache_dir: str | os.PathLike | None = None,
     spill_datasets: bool = False,
-    remote_workers: Sequence[str] = (),
     profile_path: str | os.PathLike | None = None,
 ) -> LargeScaleResult:
     """Run the large-scale simulation sharded over supervised workers.
@@ -455,20 +444,11 @@ def run_large_scale_sharded(
     arrays bit-exactly: spilled runs export the same bytes as in-memory
     ones (pinned by the equivalence suite).
 
-    ``remote_workers`` adds shard-worker addresses (``host:port``, see
-    ``repro shard-worker``) as extra supervision slots next to the
-    ``workers`` local ones; shards are dispatched over TCP with the same
-    retry/timeout/quarantine semantics, and local vs remote vs mixed
-    fleets export identical bytes.  Repeat an address to run several
-    shards there concurrently.  The wire protocol is pickle — use
-    trusted hosts and links only.
-
     ``profile_path`` profiles the *lowest-index* shard's worker under
     ``cProfile`` and dumps its stats there (merged by the CLI into the
     parent profile) — this is how ``--profile`` stays useful when the
     simulation work happens in worker processes.  Profiling changes no
-    results; it is refused alongside ``remote_workers`` because the
-    designated shard could land on a machine that cannot see the path.
+    results.
 
     The returned result is the deterministic, order-independent merge of
     the per-shard results; ``result.extras["sharding"]`` records the
@@ -492,22 +472,6 @@ def run_large_scale_sharded(
         raise ValueError("at least one partitioner is required")
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires a checkpoint_dir")
-    remote_workers = list(remote_workers or ())
-    if profile_path is not None and remote_workers:
-        raise ValueError(
-            "profile_path designates a local shard worker; it cannot be "
-            "combined with remote_workers (the profiled shard could be "
-            "dispatched to a machine that cannot write the path)"
-        )
-    executors = None
-    if remote_workers:
-        # Validate every address before any expensive work.
-        remote_executors = [
-            RemoteExecutor(address) for address in remote_workers
-        ]
-        executors = [
-            LocalProcessExecutor(_pool_context()) for _ in range(workers)
-        ] + remote_executors
     supervision = supervision or SupervisorConfig()
     store = None
     if checkpoint_dir is not None:
@@ -644,12 +608,10 @@ def run_large_scale_sharded(
             _run_shard_job,
             workers=workers,
             config=supervision,
-            mp_context=_pool_context(),
             on_result=spill if result_store is not None else None,
             # With a store the merge streams from disk; holding every
             # shard result in memory as well would defeat the point.
             keep_results=result_store is None,
-            executors=executors,
         )
         if dataset_store is not None:
             dataset_store.cleanup()  # scratch, not checkpoints
@@ -677,7 +639,6 @@ def run_large_scale_sharded(
             shutil.rmtree(scratch_dir, ignore_errors=True)
     _annotate_supervision(merged, shards, completed, report)
     merged.extras["sharding"]["spill_datasets"] = spill_datasets
-    merged.extras["sharding"]["remote_workers"] = list(remote_workers)
     return merged
 
 

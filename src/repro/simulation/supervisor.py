@@ -157,47 +157,31 @@ def _process_entry(conn, runner, job, attempt, chaos) -> None:
     conn.close()
 
 
-def _default_context() -> multiprocessing.context.BaseContext:
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
+def _start_attempt(runner, job, attempt: int, chaos) -> LocalAttempt:
+    """Start one shard attempt in a fresh worker process.
 
-
-class LocalProcessExecutor:
-    """One supervision slot backed by disposable local worker processes.
-
-    This is the default transport: each :meth:`launch` forks/spawns a
-    fresh process running :func:`_process_entry` and returns a
-    :class:`LocalAttempt` handle.  A slot runs at most one attempt at a
-    time — the supervisor builds one executor per requested worker.
-
-    The executor seam (``launch(runner, job, attempt, chaos) -> handle``
-    where the handle exposes ``waitable``/``receive``/``finish``/
-    ``kill``/``crash_detail``) is what remote dispatch plugs into: see
-    :class:`repro.simulation.remote.RemoteExecutor` for the TCP
-    implementation with identical retry/timeout/quarantine semantics.
+    The process runs :func:`_process_entry` (forked where the platform
+    allows, spawned otherwise) and reports back over a one-way pipe; the
+    returned :class:`LocalAttempt` is the supervisor's only view of it.
     """
-
-    def __init__(self, mp_context=None):
-        self._ctx = mp_context or _default_context()
-
-    def launch(self, runner, job, attempt, chaos) -> "LocalAttempt":
-        receiver, sender = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=_process_entry,
-            args=(sender, runner, job, attempt, chaos),
-        )
-        process.start()
-        sender.close()
-        return LocalAttempt(process, receiver)
-
-    def describe(self) -> str:
-        return "local"
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    receiver, sender = ctx.Pipe(duplex=False)
+    process = ctx.Process(
+        target=_process_entry, args=(sender, runner, job, attempt, chaos)
+    )
+    process.start()
+    sender.close()
+    return LocalAttempt(process, receiver)
 
 
 class LocalAttempt:
-    """Handle for one in-flight local worker process."""
+    """Handle for one in-flight worker process.
+
+    It hides the process-and-pipe lifecycle from the supervision loop,
+    which only waits on :attr:`waitable`, then calls :meth:`receive` and
+    :meth:`finish`, or :meth:`kill` on a timeout or abort.
+    """
 
     def __init__(self, process, receiver):
         self._process = process
@@ -237,8 +221,7 @@ class _Active:
 
     job: Any
     attempt: int
-    handle: Any
-    executor: Any
+    handle: LocalAttempt
     deadline: float | None
 
 
@@ -318,43 +301,30 @@ def _supervise_inprocess(
 
 
 def _supervise_processes(
-    jobs, runner, config: SupervisorConfig, executors, deliver
+    jobs, runner, config: SupervisorConfig, workers: int, deliver
 ) -> _Tracker:
-    """Fan shard attempts out over executor slots.
+    """Run shard attempts in worker processes, at most ``workers`` at once.
 
-    Each element of ``executors`` is one concurrency slot (a
-    :class:`LocalProcessExecutor`, a remote executor, or any object with
-    the same ``launch`` contract); a slot holds at most one in-flight
-    attempt.  Which slot runs which shard never affects the results —
-    shards are deterministic and the merge is order-independent — so
-    local, remote, and mixed fleets export identical bytes.
+    Which process runs which shard never affects the results — shards
+    are deterministic and the merge is order-independent.
     """
     tracker = _Tracker(config)
     # (ready_at, shard index, attempt, job): retries re-enter with a
     # backoff timestamp; launch order prefers earliest-ready then lowest
-    # shard index.  Scheduling order never affects results — shards are
-    # deterministic and the merge is order-independent.
+    # shard index.
     pending: list[tuple[float, int, int, Any]] = [
         (0.0, job.index, 0, job) for job in jobs
     ]
     active: dict[Any, _Active] = {}
-    free: list[Any] = list(executors)
 
     def launch(job, attempt) -> None:
-        # FIFO slot rotation: a slot that just failed an attempt (e.g. an
-        # unreachable remote) re-enters at the back, so the retry prefers
-        # whichever other slot freed up first instead of bouncing off the
-        # same dead transport until quarantine.
-        executor = free.pop(0)
-        handle = executor.launch(runner, job, attempt, config.chaos)
+        handle = _start_attempt(runner, job, attempt, config.chaos)
         deadline = (
             time.monotonic() + config.timeout_seconds
             if config.timeout_seconds is not None
             else None
         )
-        active[handle.waitable] = _Active(
-            job, attempt, handle, executor, deadline
-        )
+        active[handle.waitable] = _Active(job, attempt, handle, deadline)
 
     def fail(entry: _Active, cause: str, detail: str) -> None:
         delay = tracker.record_failure(
@@ -370,14 +340,11 @@ def _supervise_processes(
                 )
             )
 
-    def release(entry: _Active) -> None:
-        free.append(entry.executor)
-
     try:
         while pending or active:
             now = time.monotonic()
             pending.sort(key=lambda entry: (entry[0], entry[1]))
-            while pending and free and pending[0][0] <= now:
+            while pending and len(active) < workers and pending[0][0] <= now:
                 _, _, attempt, job = pending.pop(0)
                 launch(job, attempt)
             if not active:
@@ -391,15 +358,13 @@ def _supervise_processes(
                 try:
                     status, payload = entry.handle.receive()
                 except (EOFError, OSError):
-                    # Abrupt worker death: chaos kill, OOM, segfault, a
-                    # remote worker dropping the connection.  Reap first
-                    # so the crash detail can see the exit code.
+                    # Abrupt worker death: chaos kill, OOM, segfault.
+                    # Reap first so the crash detail can see the exit
+                    # code.
                     entry.handle.finish()
-                    release(entry)
                     fail(entry, CAUSE_CRASH, entry.handle.crash_detail())
                     continue
                 entry.handle.finish()
-                release(entry)
                 if status == "ok":
                     deliver(entry.job.index, payload)
                 else:
@@ -409,7 +374,6 @@ def _supervise_processes(
                 if entry.deadline is not None and now >= entry.deadline:
                     active.pop(waitable)
                     entry.handle.kill()
-                    release(entry)
                     fail(
                         entry, CAUSE_TIMEOUT,
                         f"no result within {config.timeout_seconds:g}s; "
@@ -429,10 +393,8 @@ def supervise(
     *,
     workers: int = 1,
     config: SupervisorConfig | None = None,
-    mp_context=None,
     on_result: Callable[[int, Any], None] | None = None,
     keep_results: bool = True,
-    executors=None,
 ) -> tuple[dict[int, Any], SupervisionReport]:
     """Run every job under supervision; returns (results, report).
 
@@ -442,12 +404,6 @@ def supervise(
     with ``keep_results=False`` delivered results are dropped afterwards
     — ``results[index]`` is then ``None`` — so huge runs never hold every
     shard's telemetry in memory at once.
-
-    ``executors`` overrides the transport: a sequence of slot objects
-    (each runs one attempt at a time) replacing the default fleet of
-    ``workers`` :class:`LocalProcessExecutor` slots.  Passing executors
-    always engages the slot loop — remote slots need real dispatch even
-    when one local worker alone would have run in-process.
 
     Raises :class:`ShardError` the moment any shard exhausts its attempts
     (unless ``config.allow_partial``); already-completed shards will have
@@ -464,15 +420,8 @@ def supervise(
             on_result(index, result)
         results[index] = result if keep_results else None
 
-    if executors is None and workers == 1 and not config.needs_processes:
+    if workers == 1 and not config.needs_processes:
         tracker = _supervise_inprocess(jobs, runner, config, deliver)
     else:
-        if executors is None:
-            ctx = mp_context or _default_context()
-            executors = [LocalProcessExecutor(ctx) for _ in range(workers)]
-        if not executors:
-            raise ValueError("at least one executor slot is required")
-        tracker = _supervise_processes(
-            jobs, runner, config, executors, deliver
-        )
+        tracker = _supervise_processes(jobs, runner, config, workers, deliver)
     return results, tracker.report()

@@ -26,7 +26,9 @@ def dataset():
 
 def make_settings(**kwargs):
     kwargs.setdefault("policy", MigrationPolicy.PERDNN)
-    kwargs.setdefault("max_steps", 4)
+    # At 4 steps no client has a full mobility window yet, so nothing
+    # migrates; 8 steps make the migration pass do work.
+    kwargs.setdefault("max_steps", 8)
     kwargs.setdefault("seed", 3)
     return SimulationSettings(**kwargs)
 
@@ -45,6 +47,10 @@ class TestChaosInvariant:
     @pytest.fixture(scope="class")
     def clean(self, dataset, tiny_partitioner):
         return run_sharded(dataset, tiny_partitioner, make_settings())
+
+    def test_clean_run_migrates(self, clean):
+        # Otherwise chaos == clean says nothing about the migration pass.
+        assert clean.migrations > 0
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_kill_every_shard_once_bytes_identical(
@@ -78,25 +84,20 @@ class TestChaosInvariant:
         )
         assert chaotic.telemetry.dumps() == clean.telemetry.dumps()
 
-    def test_chaos_with_spill_and_remote(
-        self, dataset, tiny_partitioner, clean, shard_worker
-    ):
-        # The full stack at once: dataset spill, a mixed local/remote
-        # fleet, and chaos killing every shard's first attempt.  A chaos
-        # injection inside the remote listener kills only its disposable
-        # handler process; the supervisor sees the dropped connection,
-        # retries, and the merged bytes never move.
+    def test_chaos_with_spill(self, dataset, tiny_partitioner, clean):
+        # Dataset spill and chaos at once: every shard's first attempt
+        # is killed after its worker was handed a dataset path, and the
+        # retried attempts reload the spilled subset from disk.
         chaotic = run_sharded(
             dataset, tiny_partitioner, make_settings(),
-            workers=2, remote_workers=[shard_worker], spill_datasets=True,
+            workers=2, spill_datasets=True,
             supervision=SupervisorConfig(
-                chaos=KILL_ALL_ONCE, backoff_base_seconds=0.0,
-                max_attempts=5,
+                chaos=KILL_ALL_ONCE, backoff_base_seconds=0.0
             ),
         )
         assert chaotic.telemetry.dumps() == clean.telemetry.dumps()
         info = chaotic.extras["sharding"]
-        assert info["retries"] >= info["planned_shards"]
+        assert info["retries"] == info["planned_shards"]
         assert info["failed_shards"] == []
 
     def test_chaos_with_reference_migrate(
@@ -104,12 +105,10 @@ class TestChaosInvariant:
     ):
         # A chaos-retried run must match the per-client migration oracle
         # (tests/oracles/migration.py) run cleanly in process — the
-        # supervision layer and the migration pass are orthogonal.  At
-        # the default 4 steps no client has a full mobility window yet,
-        # so nothing migrates; 8 steps make the migration pass do work.
+        # supervision layer and the migration pass are orthogonal.
         from tests.oracles import migration as migration_oracle
 
-        settings = make_settings(max_steps=8)
+        settings = make_settings()
         chaotic = run_sharded(
             dataset, tiny_partitioner, settings,
             workers=2,

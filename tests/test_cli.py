@@ -283,3 +283,17 @@ class TestShardedSimulate:
         doc = json.loads(path.read_text())
         assert doc["meta"]["shard_size"] == 2
         assert "workers" not in doc["meta"]
+
+    def test_chaos_schedule_flags_refused_without_sharding(self, capsys):
+        # Like the other chaos flags, these only shape the sharded
+        # runner's worker sabotage; an unsharded run must not drop them
+        # silently.
+        for flag, value in (
+            ("--chaos-seed", "5"),
+            ("--chaos-max-injections", "2"),
+            ("--chaos-hang-seconds", "1.5"),
+        ):
+            assert main(["simulate", flag, value]) == 2
+            err = capsys.readouterr().err
+            assert flag in err
+            assert "only apply to sharded runs" in err
